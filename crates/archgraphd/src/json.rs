@@ -71,11 +71,12 @@ impl Json {
     }
 
     /// Parse one JSON value from `s` (the whole string must be consumed,
-    /// modulo trailing whitespace).
+    /// modulo trailing whitespace). Arrays and objects nested deeper than
+    /// [`MAX_DEPTH`] are an error, not a stack overflow.
     pub fn parse(s: &str) -> Result<Json, String> {
         let b = s.as_bytes();
         let mut pos = 0;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -83,6 +84,11 @@ impl Json {
         Ok(v)
     }
 }
+
+/// The deepest array/object nesting [`Json::parse`] accepts. Protocol
+/// requests nest three deep; the bound keeps a hostile line of `[`s from
+/// recursing the handler thread off its stack.
+pub const MAX_DEPTH: usize = 64;
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
@@ -99,8 +105,11 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
@@ -116,7 +125,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(out));
             }
             loop {
-                out.push(parse_value(b, pos)?);
+                out.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -141,7 +150,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 out.insert(key, val);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -308,6 +317,17 @@ mod tests {
         assert_eq!(cells[1].get("n").and_then(Json::as_u64), Some(128));
         assert_eq!(v.get("flag"), Some(&Json::Bool(true)));
         assert_eq!(v.get("x"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // A hostile line far past any stack: an error, not an abort.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(1 << 18)).is_err());
     }
 
     #[test]

@@ -6,13 +6,23 @@
 //! and `--token`: binding a non-loopback address without a bearer
 //! token is refused at startup, and with a token every connection must
 //! send the token as its literal first line before any request is
-//! processed. Accepting is
-//! non-blocking with a short poll so the loop notices shutdown promptly:
-//! a `shutdown` op from any client, or a SIGTERM/SIGINT flagged by the
-//! shared [`archgraph_bench::signals`] handler, both end the loop, after
-//! which the scheduler drains gracefully (in-flight cells finish and are
-//! cached, queued cells flush to their submitters as cancelled) and the
-//! socket file is removed.
+//! processed.
+//!
+//! The accept loop is event-driven. The listener is non-blocking; when
+//! nothing is pending the loop blocks in `poll(2)` on the listener and
+//! on the read end of a wake pipe, so a new connection is accepted the
+//! moment it arrives. A `shutdown` op from any client writes one byte to
+//! the pipe and ends the loop at once. A SIGTERM/SIGINT flagged by the
+//! shared [`archgraph_bench::signals`] handler (a lone atomic store) or
+//! an externally set `stop` flag is seen within one 50 ms tick, the
+//! `poll` timeout. Off Unix the loop sleeps a tick instead of polling.
+//!
+//! After the loop, the scheduler drains gracefully: in-flight cells
+//! finish and are cached, and queued cells flush to their submitters as
+//! cancelled. The drain then waits until every handler thread streaming
+//! a job has written its terminal `done` line, bounded by
+//! `DRAIN_DEADLINE` (1 s) so a client that stopped reading cannot hold
+//! shutdown, and removes the socket file.
 //!
 //! Each accepted connection gets its own handler thread reading request
 //! lines; a malformed line answers with a structured error and keeps the
@@ -29,15 +39,21 @@ use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 use crate::protocol::{self, Request};
 use crate::queue::{Event, Scheduler};
 
-/// How long the accept loop sleeps when there is nothing to accept.
-const POLL: Duration = Duration::from_millis(50);
+/// The accept loop's tick: the longest it waits before re-checking the
+/// `stop` flag and pending signals, which nothing can wake it for.
+const TICK: Duration = Duration::from_millis(50);
+
+/// How long the drain waits for handler threads to write their terminal
+/// `done` lines. Writing one takes microseconds; only a client that has
+/// stopped reading (and filled its socket buffer) can use this up.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Where the daemon listens (or a client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,6 +294,15 @@ impl Listener {
         }
     }
 
+    #[cfg(unix)]
+    fn raw_fd(&self) -> std::os::fd::RawFd {
+        use std::os::fd::AsRawFd;
+        match self {
+            Listener::Unix(l, _, _) => l.as_raw_fd(),
+            Listener::Tcp(l) => l.as_raw_fd(),
+        }
+    }
+
     /// Unlink the socket path — but only while it still names the
     /// socket *we* bound. If a newer daemon reclaimed the path (after
     /// this one's file was removed out from under it), the inode no
@@ -292,6 +317,61 @@ impl Listener {
     }
 }
 
+/// Handler threads currently streaming a job, counted so the drain can
+/// wait for their terminal `done` lines instead of sleeping.
+#[derive(Default)]
+struct Streams {
+    live: Mutex<usize>,
+    idle: Condvar,
+}
+
+impl Streams {
+    /// Register a streaming handler until the returned guard drops.
+    fn enter(&self) -> StreamGuard<'_> {
+        *self.live.lock().expect("streams lock") += 1;
+        StreamGuard(self)
+    }
+
+    /// Wait until no handler is streaming, or `deadline` has passed.
+    fn wait_idle(&self, deadline: Duration) {
+        let live = self.live.lock().expect("streams lock");
+        let _ = self.idle.wait_timeout_while(live, deadline, |n| *n > 0);
+    }
+}
+
+/// One registered streaming handler; dropping it deregisters.
+struct StreamGuard<'a>(&'a Streams);
+
+impl Drop for StreamGuard<'_> {
+    fn drop(&mut self) {
+        // Never panic in drop: the count stays valid under a poisoned lock.
+        let mut live = self.0.live.lock().unwrap_or_else(PoisonError::into_inner);
+        *live -= 1;
+        if *live == 0 {
+            self.0.idle.notify_all();
+        }
+    }
+}
+
+/// What every handler thread shares with the accept loop.
+struct Shared {
+    sched: Arc<Scheduler>,
+    stop: Arc<AtomicBool>,
+    wake: wake::Wake,
+    streams: Streams,
+    token: Option<String>,
+    idle_timeout: Option<Duration>,
+}
+
+impl Shared {
+    /// Ask the accept loop to stop, waking it if this is the first ask.
+    fn request_stop(&self) {
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            self.wake.ring();
+        }
+    }
+}
+
 /// Run the daemon until a `shutdown` op or a pending SIGTERM/SIGINT,
 /// then drain the scheduler and remove the socket. Returns the reason
 /// ("shutdown op" or the signal name) for the final log line.
@@ -302,9 +382,16 @@ pub fn serve(
     token: Option<String>,
     idle_timeout: Option<Duration>,
 ) -> &'static str {
-    let token = Arc::new(token);
+    let shared = Arc::new(Shared {
+        sched,
+        stop,
+        wake: wake::Wake::new(),
+        streams: Streams::default(),
+        token,
+        idle_timeout,
+    });
     let reason = loop {
-        if stop.load(Ordering::SeqCst) {
+        if shared.stop.load(Ordering::SeqCst) {
             break "shutdown op";
         }
         if let Some(signo) = archgraph_bench::signals::pending() {
@@ -316,30 +403,120 @@ pub fn serve(
         }
         match listener.accept() {
             Ok(conn) => {
-                let sched = Arc::clone(&sched);
-                let stop = Arc::clone(&stop);
-                let token = Arc::clone(&token);
+                let shared = Arc::clone(&shared);
                 // Detached: dies with the process after the drain.
                 let _ = thread::Builder::new()
                     .name("archgraphd-client".to_string())
-                    .spawn(move || {
-                        handle_client(conn, &sched, &stop, token.as_deref(), idle_timeout)
-                    });
+                    .spawn(move || handle_client(conn, &shared));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => shared.wake.wait(&listener, TICK),
             Err(e) => {
                 eprintln!("archgraphd: accept error: {e}");
-                thread::sleep(POLL);
+                thread::sleep(TICK);
             }
         }
     };
     // Graceful drain: finish in-flight cells (caching them), flush the
-    // queued remainder as cancelled, give handler threads a beat to
+    // queued remainder as cancelled, wait for the handler threads to
     // write their terminal lines, then release the socket.
-    sched.shutdown_and_join();
-    thread::sleep(Duration::from_millis(100));
+    shared.sched.shutdown_and_join();
+    shared.streams.wait_idle(DRAIN_DEADLINE);
     listener.cleanup();
     reason
+}
+
+/// The accept loop's wake-up: on Unix, `poll(2)` on the listener and a
+/// self-pipe that the `shutdown` op writes to. Raw FFI, the way
+/// `bench::signals` declares `signal(2)` — no libc crate.
+#[cfg(unix)]
+mod wake {
+    use std::io::{self, PipeReader, PipeWriter, Write};
+    use std::os::fd::AsRawFd;
+    use std::os::raw::{c_int, c_short};
+    use std::time::Duration;
+
+    use super::Listener;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    /// `POLLIN` on every Unix the workspace targets.
+    const POLLIN: c_short = 0x1;
+
+    #[cfg(target_os = "linux")]
+    type NFds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NFds = std::os::raw::c_uint;
+
+    extern "C" {
+        // `poll(2)` from the platform libc.
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+    }
+
+    /// The wake pipe. `None` only if `pipe(2)` failed at startup; the
+    /// loop then waits on the listener alone and sees a shutdown within
+    /// one tick, as it does a signal.
+    pub struct Wake(Option<(PipeReader, PipeWriter)>);
+
+    impl Wake {
+        pub fn new() -> Wake {
+            Wake(io::pipe().ok())
+        }
+
+        /// Wake the accept loop. Called at most once per daemon.
+        pub fn ring(&self) {
+            if let Some((_, tx)) = &self.0 {
+                let _ = (&*tx).write_all(&[1]);
+            }
+        }
+
+        /// Block until the listener is readable, the pipe is rung, a
+        /// signal interrupts the call, or `tick` passes.
+        pub fn wait(&self, listener: &Listener, tick: Duration) {
+            // A negative fd is ignored by poll(2).
+            let pipe_fd = self.0.as_ref().map_or(-1, |(rx, _)| rx.as_raw_fd());
+            let mut fds = [listener.raw_fd(), pipe_fd].map(|fd| PollFd {
+                fd,
+                events: POLLIN,
+                revents: 0,
+            });
+            let timeout = tick.as_millis().min(c_int::MAX as u128) as c_int;
+            // SAFETY: `fds` is a live, correctly laid out array of
+            // `fds.len()` pollfd structs for the duration of the call.
+            let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, timeout) };
+            if ready < 0 && io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+                // Never spin on a persistent poll failure.
+                std::thread::sleep(tick);
+            }
+        }
+    }
+}
+
+/// Off Unix there is no `poll(2)`: the accept loop sleeps a tick.
+#[cfg(not(unix))]
+mod wake {
+    use std::time::Duration;
+
+    use super::Listener;
+
+    pub struct Wake;
+
+    impl Wake {
+        pub fn new() -> Wake {
+            Wake
+        }
+
+        pub fn ring(&self) {}
+
+        pub fn wait(&self, _listener: &Listener, tick: Duration) {
+            std::thread::sleep(tick);
+        }
+    }
 }
 
 /// One connection's request loop. Returns when the client disconnects,
@@ -350,13 +527,14 @@ pub fn serve(
 /// set, a connection whose next request (or auth line) does not arrive
 /// within the deadline gets one structured error line and is closed —
 /// idle clients cannot pin handler threads forever.
-fn handle_client(
-    conn: Conn,
-    sched: &Scheduler,
-    stop: &AtomicBool,
-    token: Option<&str>,
-    idle_timeout: Option<Duration>,
-) {
+fn handle_client(conn: Conn, shared: &Shared) {
+    let Shared {
+        sched,
+        token,
+        idle_timeout,
+        ..
+    } = shared;
+    let idle_timeout = *idle_timeout;
     let Ok(read_half) = conn.try_clone() else {
         return;
     };
@@ -375,7 +553,7 @@ fn handle_client(
         );
         let _ = w.flush();
     };
-    if let Some(expect) = token {
+    if let Some(expect) = token.as_deref() {
         let presented = lines.next();
         if let Some(Err(e)) = &presented {
             if is_timeout(e) {
@@ -420,7 +598,7 @@ fn handle_client(
             Ok(Request::Shutdown) => {
                 let _ = writeln!(w, "{}", protocol::bye());
                 let _ = w.flush();
-                stop.store(true, Ordering::SeqCst);
+                shared.request_stop();
                 return;
             }
             Ok(Request::List) => writeln!(w, "{}", protocol::list_line(&sched.list())),
@@ -428,7 +606,12 @@ fn handle_client(
                 cells,
                 budget_cycles,
                 budget_host_ms,
-            }) => stream_job(&mut w, sched, cells, budget_cycles, budget_host_ms),
+            }) => {
+                // Registered until the `done` line is written: the drain
+                // waits for it.
+                let _streaming = shared.streams.enter();
+                stream_job(&mut w, sched, cells, budget_cycles, budget_host_ms)
+            }
         };
         if ok.and_then(|()| w.flush()).is_err() {
             return;

@@ -170,6 +170,20 @@ fn run_job(daemon: &Daemon, request: &str) -> (Vec<Json>, Json) {
     }
 }
 
+/// Read JSON event lines until the daemon closes the stream.
+fn read_to_eof(r: &mut BufReader<UnixStream>) -> Vec<Json> {
+    let mut events = Vec::new();
+    loop {
+        let mut line = String::new();
+        match r.read_line(&mut line) {
+            Ok(0) | Err(_) => return events,
+            Ok(_) => {
+                events.push(Json::parse(line.trim_end()).expect("drain lines stay well-formed"))
+            }
+        }
+    }
+}
+
 fn shutdown_and_reap(mut daemon: Daemon) {
     let (mut r, mut w) = dial(&daemon);
     send(&mut w, r#"{"op":"shutdown"}"#);
@@ -263,6 +277,20 @@ fn sigterm_mid_job_flushes_the_cache_and_resume_is_identical() {
     assert_eq!(first.get("type").and_then(Json::as_str), Some("cell"));
     let first_sim = sim_pairs(&first);
 
+    // A second tenant's job, queued behind the first under --jobs 1. Its
+    // 16 cells take about 20 ms each even in a release build, far more
+    // than the one worker can finish in the 50 ms tick before the accept
+    // loop sees the signal, so most of them are still queued when the
+    // drain starts.
+    let queued_sizes: Vec<usize> = (0..16).map(|i| 2048 + 16 * i).collect();
+    let (mut queued_r, mut queued_w) = dial(&daemon);
+    send(&mut queued_w, &submit_line(&queued_sizes));
+    let accepted = recv(&mut queued_r);
+    assert_eq!(
+        accepted.get("type").and_then(Json::as_str),
+        Some("accepted")
+    );
+
     let pid = daemon.child.id().to_string();
     // Child::kill sends SIGKILL; go through kill(1) for a real SIGTERM.
     let killed = Command::new("kill")
@@ -271,23 +299,11 @@ fn sigterm_mid_job_flushes_the_cache_and_resume_is_identical() {
         .expect("run kill");
     assert!(killed.success());
 
-    // The drain streams whatever it can (completed or cancelled cells,
-    // ideally the done line) and the daemon exits cleanly.
-    let mut drained = Vec::new();
-    loop {
-        let mut line = String::new();
-        match r.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                let ev = Json::parse(line.trim_end()).expect("drain lines stay well-formed");
-                let done = ev.get("type").and_then(Json::as_str) == Some("done");
-                drained.push(ev);
-                if done {
-                    break;
-                }
-            }
-        }
-    }
+    // The drain streams every remaining event of both jobs, completed or
+    // cancelled cells, and ends each stream with its done line before
+    // the daemon exits cleanly.
+    let drained = read_to_eof(&mut r);
+    let queued = read_to_eof(&mut queued_r);
     let mut daemon = daemon;
     let status = daemon.child.wait().expect("wait for killed daemon");
     assert!(
@@ -295,14 +311,38 @@ fn sigterm_mid_job_flushes_the_cache_and_resume_is_identical() {
         "graceful SIGTERM drain must exit 0, got {status}"
     );
     drop(daemon);
-    for ev in &drained {
-        if ev.get("type").and_then(Json::as_str) == Some("cell") {
+    for stream in [&drained, &queued] {
+        let (done, cells) = stream.split_last().expect("the drain streams events");
+        assert_eq!(
+            done.get("type").and_then(Json::as_str),
+            Some("done"),
+            "a drained stream ends with its done line: {stream:?}"
+        );
+        for ev in cells {
+            assert_eq!(ev.get("type").and_then(Json::as_str), Some("cell"));
             assert!(
                 ev.get("error").is_none(),
                 "a drain must cancel, not fail, unfinished cells: {ev:?}"
             );
         }
     }
+    let cancelled = queued
+        .iter()
+        .filter(|ev| ev.get("cancelled") == Some(&Json::Bool(true)))
+        .count() as u64;
+    assert!(
+        cancelled >= 1,
+        "the queued job has cancelled cells: {queued:?}"
+    );
+    assert_eq!(
+        queued
+            .last()
+            .unwrap()
+            .get("cancelled")
+            .and_then(Json::as_u64),
+        Some(cancelled),
+        "the done line counts every cancelled cell"
+    );
 
     // Restart on the same socket path (stale file reclaim) and cache dir;
     // the resumed sweep completes with byte-identical fingerprints, and
@@ -332,6 +372,47 @@ fn sigterm_mid_job_flushes_the_cache_and_resume_is_identical() {
     assert_eq!(cells[0].get("cached"), Some(&Json::Bool(true)));
 
     shutdown_and_reap(daemon);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn new_connections_are_served_on_arrival_and_shutdown_exits_promptly() {
+    let root = temp_root("latency");
+    let mut daemon = start_daemon(&root, 1, &[]);
+
+    // Fresh connections, one after another: each is accepted when it
+    // arrives. An accept loop that slept 50 ms whenever nothing was
+    // pending spent about 1 s on these 20.
+    let t = Instant::now();
+    for _ in 0..20 {
+        let (mut r, mut w) = dial(&daemon);
+        send(&mut w, r#"{"op":"ping"}"#);
+        assert_eq!(
+            recv(&mut r).get("type").and_then(Json::as_str),
+            Some("pong")
+        );
+    }
+    let connections = t.elapsed();
+    assert!(
+        connections < Duration::from_millis(500),
+        "20 sequential ping connections took {connections:?}"
+    );
+
+    // With no cells in flight, the shutdown op wakes the accept loop and
+    // the drain has nothing to wait for: no fixed sleep before exit.
+    let (mut r, mut w) = dial(&daemon);
+    let t = Instant::now();
+    send(&mut w, r#"{"op":"shutdown"}"#);
+    assert_eq!(recv(&mut r).get("type").and_then(Json::as_str), Some("bye"));
+    let status = daemon.child.wait().expect("wait for daemon exit");
+    let exit = t.elapsed();
+    assert!(status.success(), "clean shutdown must exit 0, got {status}");
+    assert!(
+        exit < Duration::from_millis(100),
+        "shutdown op to process exit took {exit:?}"
+    );
+    assert!(!daemon.socket.exists());
+    drop(daemon);
     let _ = std::fs::remove_dir_all(root);
 }
 

@@ -28,6 +28,12 @@ cargo build --release --offline
 echo "== cargo test =="
 cargo test -q --offline --workspace
 
+echo "== benchmark tests (perfbench) =="
+# perfbench is a workspace of its own, so --workspace above never builds
+# it; its failure test is the only caller of the in-process
+# server::bind/serve. Same target dir as perfbench/run.sh.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== engine differential smoke =="
 # Re-run the simulator and kernel suites with each MTA engine as the
 # session default. The kernel tests pin simulated cycle/utilization
