@@ -1,8 +1,9 @@
 //! Minimal JSON for the wire protocol. Hand-rolled on purpose: the
-//! workspace's `serde` is an offline no-op shim (derive markers only),
-//! and the protocol's values are small single-line objects, so a
-//! ~150-line recursive-descent parser plus a writer that mirrors the
-//! bench driver's rendering conventions covers everything.
+//! workspace has no JSON dependency, and the protocol's values are
+//! small single-line objects, so a ~150-line recursive-descent parser
+//! covers everything. Writing goes through `archgraph_bench::json`, the
+//! renderer `--bin bench` uses, so streamed `sim` fingerprints equal the
+//! bench JSON byte for byte; [`escape`] is re-exported from there.
 //!
 //! Numbers parse into [`Json::Num`] as `f64` — exact for every integer
 //! the simulators emit (cycle counts stay under 2^53 by orders of
@@ -10,7 +11,8 @@
 //! round-trips them back to integers only when exact.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+
+pub use archgraph_bench::json::escape;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -266,41 +268,6 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number `{text}` at offset {start}"))
 }
 
-/// Escape a string for a JSON literal (quotes, backslashes, control
-/// characters — panic messages can contain anything).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a `sim` fingerprint object exactly the way `--bin bench` does
-/// (`{ "cycles": 123, "issued": 456 }`) — the CI smoke leg compares the
-/// daemon's streamed fingerprints against bench JSON byte-for-byte.
-pub fn render_sim(pairs: &[(String, u64)]) -> String {
-    let mut out = String::from("{ ");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{k}\": {v}");
-    }
-    out.push_str(" }");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,7 +317,6 @@ mod tests {
     fn strings_round_trip_escapes_and_utf8() {
         let v = Json::parse(r#""a\"b\\c\ndA ünïcode""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA ünïcode"));
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 
     #[test]
@@ -390,13 +356,5 @@ mod tests {
         assert_eq!(v.as_u64(), Some(1 << 36));
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
-    }
-
-    #[test]
-    fn render_sim_matches_bench_json_layout() {
-        let pairs = vec![("cycles".to_string(), 100u64), ("issued".to_string(), 42)];
-        assert_eq!(render_sim(&pairs), r#"{ "cycles": 100, "issued": 42 }"#);
-        // Degenerate but bench-identical: no pairs leaves both pads.
-        assert_eq!(render_sim(&[]), "{  }");
     }
 }

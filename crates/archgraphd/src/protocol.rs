@@ -50,8 +50,10 @@
 //! single line (`pong`, `status`, `bye`, `cancelled`).
 
 use archgraph_bench::cells::{self, CellSpec, Kernel, MachineKind};
+use archgraph_bench::json::render_sim;
+use archgraph_mta_sim::MtaEngine;
 
-use crate::json::{escape, render_sim, Json};
+use crate::json::{escape, Json};
 use crate::queue::{CellEvent, CellStatus, JobSummary, ListEntry, Snapshot};
 
 /// A parsed, validated client request.
@@ -221,7 +223,7 @@ pub fn parse_spec(v: &Json) -> Result<CellSpec, String> {
     if let Some(e) = v.get("engine") {
         let name = e.as_str().ok_or("\"engine\" must be a string")?;
         spec.engine =
-            Some(cells::parse_engine(name).ok_or_else(|| format!("unknown engine {name:?}"))?);
+            Some(MtaEngine::parse(name).ok_or_else(|| format!("unknown engine {name:?}"))?);
     }
     if let Some(f) = v.get("faults") {
         spec.faults = Some(
@@ -343,7 +345,6 @@ pub fn done_line(job: &str, s: &JobSummary) -> String {
 mod tests {
     use super::*;
     use archgraph_bench::cells::find;
-    use archgraph_mta_sim::machine::MtaEngine;
 
     #[test]
     fn parses_the_simple_ops() {

@@ -7,7 +7,7 @@
 //! We build a *skewed* workload — iterations in the first half chase long
 //! dependent-load chains — and compare both schedules' simulated cycles.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+mod common;
 
 use archgraph_core::MtaParams;
 use archgraph_mta_sim::isa::{ProgramBuilder, Reg};
@@ -48,16 +48,17 @@ fn run_once(dynamic: bool) -> u64 {
     m.run(&prog, STREAMS, |_, _| {}).cycles
 }
 
-fn bench_walk_scheduling_algorithm_level(c: &mut Criterion) {
+fn bench_walk_scheduling_algorithm_level() {
     use archgraph_bench::workloads::{make_list, ListKind};
     use archgraph_listrank::sim_mta::{simulate_walk_ranking_scheduled, WalkSchedule};
     let n = 1 << 14;
     let list = make_list(ListKind::Random, n, 41);
     let params = MtaParams::mta2();
-    for (name, sched) in [
+    let schedules = [
         ("dynamic", WalkSchedule::Dynamic),
         ("block", WalkSchedule::Block),
-    ] {
+    ];
+    for (name, sched) in schedules {
         let r = simulate_walk_ranking_scheduled(&list, &params, 1, 100, n / 10, sched);
         println!(
             "ablation/walk-schedule {name}: {:.4} s simulated, utilization {:.0}%",
@@ -65,20 +66,14 @@ fn bench_walk_scheduling_algorithm_level(c: &mut Criterion) {
             r.report.utilization * 100.0
         );
     }
-    let mut g = c.benchmark_group("ablation/walk-schedule");
-    g.sample_size(10);
-    for (name, sched) in [
-        ("dynamic", WalkSchedule::Dynamic),
-        ("block", WalkSchedule::Block),
-    ] {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &sched, |b, &s| {
-            b.iter(|| simulate_walk_ranking_scheduled(&list, &params, 1, 100, n / 10, s).seconds)
+    for (name, sched) in schedules {
+        common::bench(&format!("ablation/walk-schedule/{name}"), || {
+            simulate_walk_ranking_scheduled(&list, &params, 1, 100, n / 10, sched).seconds
         });
     }
-    g.finish();
 }
 
-fn bench_scheduling(c: &mut Criterion) {
+fn bench_scheduling() {
     let dyn_cycles = run_once(true);
     let blk_cycles = run_once(false);
     println!(
@@ -86,19 +81,12 @@ fn bench_scheduling(c: &mut Criterion) {
          ({:.2}x advantage for int_fetch_add scheduling)",
         blk_cycles as f64 / dyn_cycles as f64
     );
-    let mut g = c.benchmark_group("ablation/scheduling");
-    g.sample_size(10);
     for (name, dynamic) in [("dynamic", true), ("block", false)] {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &dynamic, |b, &d| {
-            b.iter(|| run_once(d))
-        });
+        common::bench(&format!("ablation/scheduling/{name}"), || run_once(dynamic));
     }
-    g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_scheduling,
-    bench_walk_scheduling_algorithm_level
-);
-criterion_main!(benches);
+fn main() {
+    bench_scheduling();
+    bench_walk_scheduling_algorithm_level();
+}

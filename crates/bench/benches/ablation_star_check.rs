@@ -6,14 +6,14 @@
 //! shortcutting. We compare the two natively on random graphs and on an
 //! adversarial long path, and print the grafting-iteration counts.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+mod common;
 
 use archgraph_bench::workloads::make_graph;
 use archgraph_concomp::sv::{shiloach_vishkin, shiloach_vishkin_iters};
 use archgraph_concomp::sv_mta::{sv_mta_style, sv_mta_style_iters};
 use archgraph_graph::gen;
 
-fn bench_star_check(c: &mut Criterion) {
+fn main() {
     let n = 1 << 14;
     let random = make_graph(n, 8 * n, 23);
     let chain = gen::path(n);
@@ -24,18 +24,14 @@ fn bench_star_check(c: &mut Criterion) {
         println!("ablation/star-check {wname}: Alg2 {it2} iters, Alg3 {it3} iters");
     }
 
-    let mut grp = c.benchmark_group("ablation/star-check");
-    grp.sample_size(10);
     for (wname, g) in [("random", &random), ("path", &chain)] {
-        grp.bench_with_input(BenchmarkId::new("alg2-star-check", wname), g, |b, g| {
-            b.iter(|| shiloach_vishkin(g))
-        });
-        grp.bench_with_input(BenchmarkId::new("alg3-full-shortcut", wname), g, |b, g| {
-            b.iter(|| sv_mta_style(g))
-        });
+        common::bench(
+            &format!("ablation/star-check/alg2-star-check/{wname}"),
+            || shiloach_vishkin(g),
+        );
+        common::bench(
+            &format!("ablation/star-check/alg3-full-shortcut/{wname}"),
+            || sv_mta_style(g),
+        );
     }
-    grp.finish();
 }
-
-criterion_group!(benches, bench_star_check);
-criterion_main!(benches);

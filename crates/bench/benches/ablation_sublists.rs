@@ -6,29 +6,23 @@
 //! pass and the marking overhead grow. This bench sweeps sublists-per-
 //! thread on the *native* Helman–JáJá implementation.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+mod common;
 
 use archgraph_bench::workloads::{make_list, ListKind};
 use archgraph_listrank::{helman_jaja, HjConfig};
 
-fn bench_sublists(c: &mut Criterion) {
+fn main() {
     let n = 1 << 20;
     let list = make_list(ListKind::Random, n, 17);
     let threads = 4;
-    let mut g = c.benchmark_group("ablation/sublists-per-thread");
-    g.sample_size(10);
     for spt in [1usize, 2, 4, 8, 16, 32] {
         let cfg = HjConfig {
             threads,
             sublists_per_thread: spt,
             seed: 17,
         };
-        g.bench_with_input(BenchmarkId::from_parameter(spt), &cfg, |b, cfg| {
-            b.iter(|| helman_jaja(&list, cfg))
+        common::bench(&format!("ablation/sublists-per-thread/{spt}"), || {
+            helman_jaja(&list, &cfg)
         });
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench_sublists);
-criterion_main!(benches);

@@ -7,13 +7,13 @@
 //! against starvation (few walks); the sweet spot should sit near the
 //! paper's 10.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+mod common;
 
 use archgraph_bench::workloads::{make_list, ListKind};
 use archgraph_core::machine::MtaParams;
 use archgraph_listrank::sim_mta::simulate_walk_ranking;
 
-fn bench_walk_grain(c: &mut Criterion) {
+fn main() {
     let n = 1 << 14;
     let list = make_list(ListKind::Random, n, 29);
     let params = MtaParams::mta2();
@@ -30,18 +30,10 @@ fn bench_walk_grain(c: &mut Criterion) {
         );
     }
 
-    let mut g = c.benchmark_group("ablation/walk-grain");
-    g.sample_size(10);
     for nodes_per_walk in [5usize, 10, 160] {
         let walks = (n / nodes_per_walk).max(1);
-        g.bench_with_input(
-            BenchmarkId::from_parameter(nodes_per_walk),
-            &walks,
-            |b, &w| b.iter(|| simulate_walk_ranking(&list, &params, p, 100, w).seconds),
-        );
+        common::bench(&format!("ablation/walk-grain/{nodes_per_walk}"), || {
+            simulate_walk_ranking(&list, &params, p, 100, walks).seconds
+        });
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench_walk_grain);
-criterion_main!(benches);

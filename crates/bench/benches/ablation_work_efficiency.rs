@@ -6,32 +6,28 @@
 //! must win and the gap must *grow* with n — the design rationale behind
 //! the paper's algorithm choices.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+mod common;
 
 use archgraph_bench::workloads::{make_list, ListKind};
 use archgraph_listrank::wyllie::wyllie_rank;
 use archgraph_listrank::{helman_jaja, mta_style_rank, HjConfig, MtaStyleConfig};
 
-fn bench_work_efficiency(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation/work-efficiency");
-    g.sample_size(10);
+fn main() {
     for exp in [16usize, 18, 20] {
         let n = 1 << exp;
         let list = make_list(ListKind::Random, n, 37);
-        g.bench_with_input(BenchmarkId::new("wyllie-nlogn", n), &list, |b, l| {
-            b.iter(|| wyllie_rank(l))
-        });
+        common::bench(
+            &format!("ablation/work-efficiency/wyllie-nlogn/{n}"),
+            || wyllie_rank(&list),
+        );
         let hj = HjConfig::with_threads(4);
-        g.bench_with_input(BenchmarkId::new("helman-jaja-n", n), &list, |b, l| {
-            b.iter(|| helman_jaja(l, &hj))
-        });
+        common::bench(
+            &format!("ablation/work-efficiency/helman-jaja-n/{n}"),
+            || helman_jaja(&list, &hj),
+        );
         let walks = MtaStyleConfig::for_list(n, 4);
-        g.bench_with_input(BenchmarkId::new("mta-walks-n", n), &list, |b, l| {
-            b.iter(|| mta_style_rank(l, &walks))
+        common::bench(&format!("ablation/work-efficiency/mta-walks-n/{n}"), || {
+            mta_style_rank(&list, &walks)
         });
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench_work_efficiency);
-criterion_main!(benches);

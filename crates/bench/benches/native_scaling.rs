@@ -7,7 +7,9 @@
 //! algorithms at one size, giving the cross-algorithm comparison
 //! (SV vs Awerbuch–Shiloach vs random mating vs hybrid vs union-find).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+mod common;
+
+use common::bench;
 
 use archgraph_bench::workloads::{make_graph, make_list, ListKind};
 use archgraph_concomp::awerbuch_shiloach::awerbuch_shiloach;
@@ -18,92 +20,83 @@ use archgraph_concomp::sv_spmd::sv_spmd;
 use archgraph_concomp::{shiloach_vishkin, sv_mta_style};
 use archgraph_listrank::{helman_jaja, mta_style_rank, sequential_rank, HjConfig, MtaStyleConfig};
 
-fn bench_list_ranking_native(c: &mut Criterion) {
+fn bench_list_ranking_native() {
     let n = 1 << 21;
-    let mut g = c.benchmark_group("native/list-ranking");
-    g.sample_size(10);
+    let group = "native/list-ranking";
     for kind in ListKind::both() {
         let list = make_list(kind, n, 31);
-        g.bench_with_input(
-            BenchmarkId::new("sequential", kind.label()),
-            &list,
-            |b, l| b.iter(|| sequential_rank(l)),
-        );
+        let kl = kind.label();
+        bench(&format!("{group}/sequential/{kl}"), || {
+            sequential_rank(&list)
+        });
         for threads in [2usize, 4, 8] {
             let cfg = HjConfig::with_threads(threads);
-            g.bench_with_input(
-                BenchmarkId::new(format!("helman-jaja-t{threads}"), kind.label()),
-                &list,
-                |b, l| b.iter(|| helman_jaja(l, &cfg)),
-            );
+            bench(&format!("{group}/helman-jaja-t{threads}/{kl}"), || {
+                helman_jaja(&list, &cfg)
+            });
         }
         let cfg = MtaStyleConfig::for_list(n, 8);
-        g.bench_with_input(
-            BenchmarkId::new("mta-style-walks-t8", kind.label()),
-            &list,
-            |b, l| b.iter(|| mta_style_rank(l, &cfg)),
-        );
+        bench(&format!("{group}/mta-style-walks-t8/{kl}"), || {
+            mta_style_rank(&list, &cfg)
+        });
     }
-    g.finish();
 }
 
-fn bench_cc_native(c: &mut Criterion) {
+fn bench_cc_native() {
     let n = 1 << 17;
     let graph = make_graph(n, 8 * n, 31);
-    let mut g = c.benchmark_group("native/connected-components");
-    g.sample_size(10);
-    g.bench_function("unionfind-seq", |b| b.iter(|| unionfind_components(&graph)));
-    g.bench_function("sv-alg2", |b| b.iter(|| shiloach_vishkin(&graph)));
-    g.bench_function("sv-alg3", |b| b.iter(|| sv_mta_style(&graph)));
-    g.bench_function("sv-spmd-t4", |b| b.iter(|| sv_spmd(&graph, 4)));
-    g.bench_function("awerbuch-shiloach", |b| {
-        b.iter(|| awerbuch_shiloach(&graph))
+    let group = "native/connected-components";
+    bench(&format!("{group}/unionfind-seq"), || {
+        unionfind_components(&graph)
     });
-    g.bench_function("random-mating", |b| b.iter(|| random_mating(&graph, 31)));
-    g.bench_function("hybrid", |b| {
-        b.iter(|| hybrid_components(&graph, &HybridConfig::default()))
+    bench(&format!("{group}/sv-alg2"), || shiloach_vishkin(&graph));
+    bench(&format!("{group}/sv-alg3"), || sv_mta_style(&graph));
+    bench(&format!("{group}/sv-spmd-t4"), || sv_spmd(&graph, 4));
+    bench(&format!("{group}/awerbuch-shiloach"), || {
+        awerbuch_shiloach(&graph)
     });
-    g.finish();
+    bench(&format!("{group}/random-mating"), || {
+        random_mating(&graph, 31)
+    });
+    bench(&format!("{group}/hybrid"), || {
+        hybrid_components(&graph, &HybridConfig::default())
+    });
 }
 
-fn bench_applications(c: &mut Criterion) {
+fn bench_applications() {
     use archgraph_apps::expr::ExprTree;
     use archgraph_apps::msf::minimum_spanning_forest;
     use archgraph_apps::{euler::Ranker, RootedAnalysis, Tree};
     use archgraph_graph::rng::Rng;
 
-    let mut g = c.benchmark_group("native/applications");
-    g.sample_size(10);
+    let group = "native/applications";
 
     let tree = Tree::random_attachment(1 << 16, 41);
-    g.bench_function("euler-rooted-analytics", |b| {
-        b.iter(|| RootedAnalysis::compute(&tree, 0, Ranker::HelmanJaja(4), 4))
+    bench(&format!("{group}/euler-rooted-analytics"), || {
+        RootedAnalysis::compute(&tree, 0, Ranker::HelmanJaja(4), 4)
     });
 
     let expr = ExprTree::random(1 << 14, 43);
-    g.bench_function("expr-eval-sequential", |b| {
-        b.iter(|| expr.eval_sequential())
+    bench(&format!("{group}/expr-eval-sequential"), || {
+        expr.eval_sequential()
     });
-    g.bench_function("expr-eval-contraction", |b| {
-        b.iter(|| expr.eval_contraction(4))
+    bench(&format!("{group}/expr-eval-contraction"), || {
+        expr.eval_contraction(4)
     });
 
     let graph = make_graph(1 << 14, 8 << 14, 47);
     let mut rng = Rng::new(48);
     let weights: Vec<u32> = (0..graph.m()).map(|_| rng.below(1 << 20) as u32).collect();
-    g.bench_function("boruvka-msf", |b| {
-        b.iter(|| minimum_spanning_forest(&graph, &weights))
+    bench(&format!("{group}/boruvka-msf"), || {
+        minimum_spanning_forest(&graph, &weights)
     });
-    g.bench_function("tarjan-vishkin-biconnectivity", |b| {
-        b.iter(|| archgraph_apps::biconn::biconnected_components(&graph))
+    bench(&format!("{group}/tarjan-vishkin-biconnectivity"), || {
+        archgraph_apps::biconn::biconnected_components(&graph)
     });
-    g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_list_ranking_native,
-    bench_cc_native,
-    bench_applications
-);
-criterion_main!(benches);
+fn main() {
+    bench_list_ranking_native();
+    bench_cc_native();
+    bench_applications();
+}

@@ -31,6 +31,7 @@
 use std::time::Instant;
 
 use archgraph_bench::cells::{bench_suite, Fingerprint};
+use archgraph_bench::json::{escape, render_sim};
 use archgraph_bench::{signals, sweep};
 
 /// Schema version written into the JSON; bump on any layout change.
@@ -94,24 +95,6 @@ fn run_cells(reps: usize) -> Vec<CellResult> {
     out
 }
 
-/// Escape a string for a JSON literal (quotes, backslashes, control
-/// characters — panic messages can contain anything).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the results as pretty-printed JSON. Hand-rolled on purpose: the
 /// schema is tiny and the workspace has no JSON dependency to lean on.
 /// Completed cells render exactly as before the guardrail layer existed
@@ -130,17 +113,10 @@ fn to_json(cells: &[CellResult], reps: usize) -> String {
         match &c.outcome {
             Ok((host_seconds, sim)) => {
                 out.push_str(&format!("      \"host_seconds\": {host_seconds:.6},\n"));
-                out.push_str("      \"sim\": { ");
-                for (j, (k, v)) in sim.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("\"{k}\": {v}"));
-                }
-                out.push_str(" }\n");
+                out.push_str(&format!("      \"sim\": {}\n", render_sim(sim)));
             }
             Err(message) => {
-                out.push_str(&format!("      \"error\": \"{}\"\n", json_escape(message)));
+                out.push_str(&format!("      \"error\": \"{}\"\n", escape(message)));
             }
         }
         out.push_str(if i + 1 < cells.len() {
@@ -246,12 +222,6 @@ mod tests {
             json.contains("\"name\": \"good\""),
             "surviving cells still render"
         );
-    }
-
-    #[test]
-    fn json_escape_handles_control_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     /// The deliberate-panic hook plus isolation: the named cell fails,

@@ -553,27 +553,6 @@ pub fn find(name: &str) -> Option<CellSpec> {
         .map(|(_, s)| s)
 }
 
-/// Parse an MTA engine name as specs spell it.
-pub fn parse_engine(s: &str) -> Option<MtaEngine> {
-    Some(match s {
-        "trace" => MtaEngine::Trace,
-        "single-step" | "single_step" | "oracle" => MtaEngine::SingleStep,
-        "compiled" | "threaded" => MtaEngine::Compiled,
-        "partitioned" | "parallel" => MtaEngine::Partitioned,
-        _ => return None,
-    })
-}
-
-/// Spell an MTA engine the way [`parse_engine`] reads it.
-pub fn engine_name(e: MtaEngine) -> &'static str {
-    match e {
-        MtaEngine::Trace => "trace",
-        MtaEngine::SingleStep => "single-step",
-        MtaEngine::Compiled => "compiled",
-        MtaEngine::Partitioned => "partitioned",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -722,13 +701,5 @@ mod tests {
         }
         assert_eq!(Kernel::parse("nope"), None);
         assert_eq!(MachineKind::parse("gpu"), None);
-        for e in [
-            MtaEngine::Trace,
-            MtaEngine::SingleStep,
-            MtaEngine::Compiled,
-            MtaEngine::Partitioned,
-        ] {
-            assert_eq!(parse_engine(engine_name(e)), Some(e));
-        }
     }
 }

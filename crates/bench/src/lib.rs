@@ -2,7 +2,7 @@
 //!
 //! The figure/table regeneration harness: shared workload construction,
 //! sweep configuration, and the series-producing functions that the `fig1`,
-//! `fig2`, `table1` and `ratios` binaries (and the Criterion benches) call.
+//! `fig2`, `table1` and `ratios` binaries (and the ablation benches) call.
 //!
 //! Every experiment is documented in `DESIGN.md`'s per-experiment index and
 //! records paper-vs-measured results in `EXPERIMENTS.md`.
@@ -14,6 +14,7 @@ pub mod fig1;
 pub mod fig2;
 pub mod grid;
 pub mod guard;
+pub mod json;
 pub mod kernels;
 pub mod scale;
 pub mod signals;

@@ -569,7 +569,7 @@ mod tests {
         let pt = CellPoint {
             x: 1 << 20,
             p: 8,
-            seconds: 0.123456789012345678,
+            seconds: 0.123_456_789_012_345_68,
             log: "util 93%, 12 iters".to_string(),
         };
         assert_eq!(CellPoint::decode(&pt.encode()), Some(pt));

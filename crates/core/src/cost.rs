@@ -15,13 +15,11 @@
 //! multithreading drives the effective magnitudes of `T_M` and `B` toward
 //! zero, leaving execution time a function of `T_C` alone.
 
-use serde::{Deserialize, Serialize};
-
 /// A `⟨T_M; T_C; B⟩` complexity triplet for a particular `(n, p)` instance.
 ///
 /// Values are *operation counts*, not seconds; combine with a
 /// [`crate::machine`] parameter set via [`crate::predict`] to obtain time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Complexity {
     /// Maximum non-contiguous main-memory accesses by any processor.
     pub t_m: f64,

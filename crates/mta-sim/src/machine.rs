@@ -242,6 +242,32 @@ pub enum MtaEngine {
     Partitioned,
 }
 
+impl MtaEngine {
+    /// Every engine, oracle first.
+    pub const ALL: [MtaEngine; 4] = [
+        MtaEngine::SingleStep,
+        MtaEngine::Trace,
+        MtaEngine::Compiled,
+        MtaEngine::Partitioned,
+    ];
+
+    /// The engine's one spelling, in `ARCHGRAPH_MTA_ENGINE` and in
+    /// daemon cell specs alike.
+    pub fn name(self) -> &'static str {
+        match self {
+            MtaEngine::SingleStep => "single-step",
+            MtaEngine::Trace => "trace",
+            MtaEngine::Compiled => "compiled",
+            MtaEngine::Partitioned => "partitioned",
+        }
+    }
+
+    /// The engine spelled `s` by [`Self::name`]; `None` for anything else.
+    pub fn parse(s: &str) -> Option<MtaEngine> {
+        MtaEngine::ALL.into_iter().find(|e| e.name() == s)
+    }
+}
+
 thread_local! {
     static ENGINE_OVERRIDE: Cell<Option<MtaEngine>> = const { Cell::new(None) };
 }
@@ -262,19 +288,30 @@ pub fn with_engine<R>(engine: MtaEngine, f: impl FnOnce() -> R) -> R {
 }
 
 /// Engine for newly constructed machines: the [`with_engine`] override if
-/// one is active, else `ARCHGRAPH_MTA_ENGINE` (`single-step` selects the
-/// oracle, `compiled` the threaded-code engine; anything else, or unset,
-/// selects `Trace`).
+/// one is active, else `ARCHGRAPH_MTA_ENGINE` (see [`engine_from_env`]).
 fn configured_engine() -> MtaEngine {
     if let Some(e) = ENGINE_OVERRIDE.with(|c| c.get()) {
         return e;
     }
     static ENV: OnceLock<MtaEngine> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("ARCHGRAPH_MTA_ENGINE").as_deref() {
-        Ok("single-step" | "single_step" | "oracle") => MtaEngine::SingleStep,
-        Ok("compiled" | "threaded") => MtaEngine::Compiled,
-        Ok("partitioned" | "parallel") => MtaEngine::Partitioned,
-        _ => MtaEngine::Trace,
+    *ENV.get_or_init(|| {
+        let value = std::env::var_os("ARCHGRAPH_MTA_ENGINE");
+        engine_from_env(value.as_deref().map(|v| v.to_string_lossy()).as_deref())
+    })
+}
+
+/// The engine an `ARCHGRAPH_MTA_ENGINE` value selects: unset selects
+/// `Trace`, an [`MtaEngine::name`] its engine, and anything else panics
+/// (a typo must not silently run another engine).
+fn engine_from_env(value: Option<&str>) -> MtaEngine {
+    let Some(value) = value else {
+        return MtaEngine::Trace;
+    };
+    MtaEngine::parse(value).unwrap_or_else(|| {
+        panic!(
+            "ARCHGRAPH_MTA_ENGINE: unknown engine {value:?} (expected one of: {})",
+            MtaEngine::ALL.map(MtaEngine::name).join(", ")
+        )
     })
 }
 
@@ -1527,6 +1564,24 @@ mod tests {
         let rep = m.run(&p, 4, |_, _| {});
         assert_eq!(rep.issued, 0);
         assert_eq!(rep.cycles, 0);
+    }
+
+    #[test]
+    fn engine_names_round_trip() {
+        for e in MtaEngine::ALL {
+            assert_eq!(MtaEngine::parse(e.name()), Some(e));
+            assert_eq!(engine_from_env(Some(e.name())), e);
+        }
+        assert_eq!(MtaEngine::parse("oracle"), None);
+        assert_eq!(engine_from_env(None), MtaEngine::Trace);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "ARCHGRAPH_MTA_ENGINE: unknown engine \"compild\" (expected one of: single-step, trace, compiled, partitioned)"
+    )]
+    fn unknown_env_engine_is_rejected() {
+        engine_from_env(Some("compild"));
     }
 
     #[test]

@@ -19,8 +19,8 @@ rustc --version
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace --offline -- -D warnings
+echo "== cargo clippy, every target (deny warnings) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo build --release =="
 cargo build --release --offline
