@@ -1,13 +1,17 @@
-//! Regenerate the paper's entire evaluation in one run: Fig. 1, Fig. 2,
-//! Table 1 and the §5 ratios.
+//! Regenerate the paper's entire evaluation in one run, each sweep once:
+//! Fig. 1, Fig. 2 and Table 1 exactly as their own binaries print them,
+//! then the §5 ratios and Table 1's p-max utilizations as one summary
+//! table, then the CSV of every figure series.
 //!
 //! ```text
 //! cargo run --release -p archgraph-bench --bin all -- [smoke|default|full]
 //! ```
 
+use archgraph_bench::figure::Arch;
 use archgraph_bench::sweep::exit_if_failed;
 use archgraph_bench::{fig1, fig2, last_or_exit, scale_or_usage, series_or_exit, table1};
-use archgraph_core::report::{fmt_percent, fmt_ratio, ratios, Table};
+use archgraph_core::experiment::Series;
+use archgraph_core::report::{fmt_percent, fmt_ratio, ratios, series_csv, Table};
 
 fn mean(r: &[(usize, usize, f64)]) -> f64 {
     r.iter().map(|&(_, _, x)| x).sum::<f64>() / r.len().max(1) as f64
@@ -22,67 +26,46 @@ fn main() {
     let p = *last_or_exit(&scale.procs(), "processor grid");
     println!("regenerating the full evaluation at {scale:?} scale (p up to {p})\n");
 
-    eprintln!("[1/4] Fig. 1 series...");
-    let f1_mta_sw = fig1::mta_sweep(scale, true);
-    let f1_smp_sw = fig1::smp_sweep(scale, true);
-    eprintln!("[2/4] Fig. 2 series...");
-    let f2_mta_sw = fig2::mta_sweep(scale, true);
-    let f2_smp_sw = fig2::smp_sweep(scale, true);
-    eprintln!("[3/4] Table 1...");
-    let t1_sw = table1::utilization_sweep(scale, true);
-    eprintln!("[4/4] ratios...\n");
+    eprintln!("[1/3] Fig. 1...");
+    let mut panels = fig1::FIGURE.run(scale, Arch::Both);
+    fig1::FIGURE.print_shape_checks();
+    eprintln!("[2/3] Fig. 2...");
+    panels.extend(fig2::FIGURE.run(scale, Arch::Both));
+    fig2::FIGURE.print_shape_checks();
+    eprintln!("[3/3] Table 1...");
+    let t1 = table1::utilization_sweep(scale, true);
+    table1::print_table(&t1.rows);
 
-    // Every sweep completed its surviving cells; summarize and bail now if
-    // any cell panicked — the ratio section below needs complete series.
-    let mut failures = Vec::new();
-    failures.extend(f1_mta_sw.failures.iter().cloned());
-    failures.extend(f1_smp_sw.failures.iter().cloned());
-    failures.extend(f2_mta_sw.failures.iter().cloned());
-    failures.extend(f2_smp_sw.failures.iter().cloned());
-    failures.extend(t1_sw.failures.iter().cloned());
+    // The summary needs complete series: bail now if any cell panicked.
+    let mut failures: Vec<_> = panels.iter().flat_map(|s| s.failures.clone()).collect();
+    failures.extend(t1.failures);
     exit_if_failed("all", &failures);
-    let (f1_mta, f1_smp) = (f1_mta_sw.series, f1_smp_sw.series);
-    let (f2_mta, f2_smp) = (f2_mta_sw.series, f2_smp_sw.series);
-    let t1 = t1_sw.rows;
+    let series: Vec<Series> = panels.into_iter().flat_map(|s| s.series).collect();
 
-    let find = |set: &[archgraph_core::experiment::Series], label: String| {
-        series_or_exit(set, &label).clone()
-    };
-    let smp_ord = find(&f1_smp, format!("SMP Ordered p={p}"));
-    let smp_rnd = find(&f1_smp, format!("SMP Random p={p}"));
-    let mta_ord = find(&f1_mta, format!("MTA Ordered p={p}"));
-    let mta_rnd = find(&f1_mta, format!("MTA Random p={p}"));
-    let smp_cc = find(&f2_smp, format!("SMP CC p={p}"));
-    let mta_cc = find(&f2_mta, format!("MTA CC p={p}"));
+    let find = |label: String| series_or_exit(&series, &label);
+    let smp_ord = find(format!("SMP Ordered p={p}"));
+    let smp_rnd = find(format!("SMP Random p={p}"));
+    let mta_ord = find(format!("MTA Ordered p={p}"));
+    let mta_rnd = find(format!("MTA Random p={p}"));
+    let smp_cc = find(format!("SMP CC p={p}"));
+    let mta_cc = find(format!("MTA CC p={p}"));
 
-    println!("== Summary (at p = {p}) ==");
+    println!("\n== Summary (at p = {p}) ==");
     let mut t = Table::new(["quantity", "measured", "paper"]);
-    t.row([
-        "SMP Random / Ordered".into(),
-        fmt_ratio(mean(&ratios(&smp_rnd, &smp_ord))),
-        "3-4x".into(),
-    ]);
-    t.row([
-        "MTA Random / Ordered".into(),
-        fmt_ratio(mean(&ratios(&mta_rnd, &mta_ord))),
-        "~1x".into(),
-    ]);
-    t.row([
-        "SMP/MTA ordered".into(),
-        fmt_ratio(mean(&ratios(&smp_ord, &mta_ord))),
-        "~10x".into(),
-    ]);
-    t.row([
-        "SMP/MTA random".into(),
-        fmt_ratio(mean(&ratios(&smp_rnd, &mta_rnd))),
-        "~35x".into(),
-    ]);
-    t.row([
-        "SMP/MTA connected components".into(),
-        fmt_ratio(mean(&ratios(&smp_cc, &mta_cc))),
-        "5-6x".into(),
-    ]);
-    for row in &t1 {
+    for (quantity, num, den, paper) in [
+        ("SMP Random / Ordered", smp_rnd, smp_ord, "3-4x"),
+        ("MTA Random / Ordered", mta_rnd, mta_ord, "~1x"),
+        ("SMP/MTA ordered", smp_ord, mta_ord, "~10x"),
+        ("SMP/MTA random", smp_rnd, mta_rnd, "~35x"),
+        ("SMP/MTA connected components", smp_cc, mta_cc, "5-6x"),
+    ] {
+        t.row([
+            quantity.into(),
+            fmt_ratio(mean(&ratios(num, den))),
+            paper.into(),
+        ]);
+    }
+    for row in &t1.rows {
         let (pp, u) = *last_or_exit(
             &row.utilization,
             &format!("utilization sweep for {}", row.label),
@@ -97,4 +80,5 @@ fn main() {
         println!("  {line}");
     }
     println!("\nsee EXPERIMENTS.md for the full paper-vs-measured record.");
+    print!("\n{}", series_csv(&series));
 }

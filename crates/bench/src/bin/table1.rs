@@ -7,7 +7,6 @@
 
 use archgraph_bench::sweep::exit_if_failed;
 use archgraph_bench::{scale_or_usage, table1};
-use archgraph_core::report::{fmt_percent, Table};
 
 fn main() {
     // Graceful SIGTERM/SIGINT: finish and flush the in-progress
@@ -17,34 +16,6 @@ fn main() {
     let scale = scale_or_usage(&args, "table1 [smoke|default|full]");
     eprintln!("computing Table 1 utilizations ({scale:?})...");
     let sweep = table1::utilization_sweep(scale, true);
-    let rows = &sweep.rows;
-
-    println!("\n== Table 1: processor utilization on the Cray MTA ==");
-    // Columns are the union of completed processor counts — a failed cell
-    // leaves a blank in its row, not a hole in the table.
-    let mut procs: Vec<usize> = rows
-        .iter()
-        .flat_map(|r| r.utilization.iter().map(|&(p, _)| p))
-        .collect();
-    procs.sort_unstable();
-    procs.dedup();
-    let mut t = Table::new(
-        std::iter::once("Workload".to_string()).chain(procs.iter().map(|p| format!("p={p}"))),
-    );
-    for row in rows {
-        let mut cells = vec![row.label.clone()];
-        for &p in &procs {
-            let u = row.utilization.iter().find(|&&(pp, _)| pp == p);
-            cells.push(u.map(|&(_, u)| fmt_percent(u)).unwrap_or_default());
-        }
-        t.row(cells);
-    }
-    for line in t.render().lines() {
-        println!("  {line}");
-    }
-    println!(
-        "\nPaper (Table 1): Random List 98/90/82%, Ordered List 97/85/80%, \
-         Connected Components 99/93/91% at p = 1/4/8."
-    );
+    table1::print_table(&sweep.rows);
     exit_if_failed("table1", &sweep.failures);
 }

@@ -8,10 +8,13 @@
 
 use archgraph_core::experiment::Series;
 use archgraph_core::machine::{MtaParams, SmpParams};
+use archgraph_core::plot::{ascii_plot, PlotOptions};
+use archgraph_core::report::{fmt_seconds, Table};
 use archgraph_listrank::sim_mta::{self, MtaSimResult};
 use archgraph_listrank::sim_smp::{self, SmpSimResult};
 
-use crate::grid::{par_map, serial_map};
+use crate::figure::Figure;
+use crate::grid::par_map;
 use crate::scale::Scale;
 use crate::sweep::{assemble_panel, point_cell, CellPoint, Checkpoint, PanelSweep};
 use crate::workloads::{make_list, ListKind};
@@ -52,28 +55,6 @@ pub fn smp_cell(kind: ListKind, p: usize, n: usize) -> SmpSimResult {
     let r = sim_smp::simulate_hj(&list, &params, p, 8, LIST_SEED);
     debug_assert_eq!(r.rank, list.rank_oracle());
     r
-}
-
-/// Run every MTA cell (parallel or serial), in [`cells`] order.
-pub fn mta_grid(scale: Scale, parallel: bool) -> Vec<MtaSimResult> {
-    let cs = cells(scale);
-    let run = |&(kind, p, n): &(ListKind, usize, usize)| mta_cell(kind, p, n);
-    if parallel {
-        par_map(&cs, run)
-    } else {
-        serial_map(&cs, run)
-    }
-}
-
-/// Run every SMP cell (parallel or serial), in [`cells`] order.
-pub fn smp_grid(scale: Scale, parallel: bool) -> Vec<SmpSimResult> {
-    let cs = cells(scale);
-    let run = |&(kind, p, n): &(ListKind, usize, usize)| smp_cell(kind, p, n);
-    if parallel {
-        par_map(&cs, run)
-    } else {
-        serial_map(&cs, run)
-    }
 }
 
 /// `(series label, cell name)` per cell, in [`cells`] order.
@@ -131,34 +112,63 @@ pub fn smp_sweep(scale: Scale, verbose: bool) -> PanelSweep {
     assemble_panel(names, outs, verbose, &ck)
 }
 
-/// Produce the MTA (left panel) series: one per (list kind, p). Panics
-/// if any cell failed; drivers that want to keep going use [`mta_sweep`].
-pub fn mta_series(scale: Scale, verbose: bool) -> Vec<Series> {
-    let sw = mta_sweep(scale, verbose);
-    if let Some(f) = sw.failures.first() {
-        panic!("{f}");
+/// Print one panel (`title` is `"MTA"` or `"SMP"`): an n × p table per
+/// list kind, then the ASCII plot of every series.
+fn print_panel(title: &str, series: &[Series], scale: Scale) {
+    println!("\n== Fig. 1 ({title}): list ranking running time ==");
+    let procs = scale.procs();
+    for kind in ["Ordered", "Random"] {
+        let mut t = Table::new(
+            std::iter::once("n".to_string()).chain(procs.iter().map(|p| format!("p={p}"))),
+        );
+        for n in scale.fig1_sizes() {
+            let mut row = vec![format!("{n}")];
+            for &p in &procs {
+                let label = format!("{title} {kind} p={p}");
+                let v = series
+                    .iter()
+                    .find(|s| s.label == label)
+                    .and_then(|s| s.at(n, p));
+                row.push(v.map(fmt_seconds).unwrap_or_default());
+            }
+            t.row(row);
+        }
+        println!("\n  {kind} lists:");
+        for line in t.render().lines() {
+            println!("    {line}");
+        }
     }
-    sw.series
+    let opts = PlotOptions {
+        x_label: "list length n".into(),
+        ..Default::default()
+    };
+    println!("\n{}", ascii_plot(series, &opts));
 }
 
-/// Produce the SMP (right panel) series: one per (list kind, p). Panics
-/// if any cell failed; drivers that want to keep going use [`smp_sweep`].
-pub fn smp_series(scale: Scale, verbose: bool) -> Vec<Series> {
-    let sw = smp_sweep(scale, verbose);
-    if let Some(f) = sw.failures.first() {
-        panic!("{f}");
-    }
-    sw.series
-}
+/// Fig. 1 for the drivers: `--bin fig1` is [`Figure::main`] on this.
+pub static FIGURE: Figure = Figure {
+    name: "fig1",
+    header: |_| {},
+    mta_sweep,
+    smp_sweep,
+    print_panel,
+    shape_checks: "Paper shape checks: MTA curves identical for Ordered/Random; SMP \
+                   Random 3-4x slower than Ordered; both scale with p.",
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn clean(sw: PanelSweep) -> Vec<Series> {
+        assert!(sw.failures.is_empty(), "{:?}", sw.failures);
+        sw.series
+    }
+
     #[test]
     fn smoke_series_have_expected_shape() {
-        let mta = mta_series(Scale::Smoke, false);
-        let smp = smp_series(Scale::Smoke, false);
+        let mta = clean(mta_sweep(Scale::Smoke, false));
+        let smp = clean(smp_sweep(Scale::Smoke, false));
         // 2 kinds x 2 proc counts.
         assert_eq!(mta.len(), 4);
         assert_eq!(smp.len(), 4);
@@ -170,7 +180,7 @@ mod tests {
 
     #[test]
     fn times_grow_with_n() {
-        for s in smp_series(Scale::Smoke, false) {
+        for s in clean(smp_sweep(Scale::Smoke, false)) {
             assert!(
                 s.points[1].seconds > s.points[0].seconds,
                 "{}: larger lists must take longer",

@@ -9,9 +9,12 @@ use archgraph_concomp::sim_mta::{self, CcMtaSimResult};
 use archgraph_concomp::sim_smp::{self, CcSmpSimResult};
 use archgraph_core::experiment::Series;
 use archgraph_core::machine::{MtaParams, SmpParams};
+use archgraph_core::plot::{ascii_plot, PlotOptions};
+use archgraph_core::report::{fmt_seconds, Table};
 use archgraph_graph::unionfind::{connected_components, same_partition};
 
-use crate::grid::{par_map, serial_map};
+use crate::figure::Figure;
+use crate::grid::par_map;
 use crate::scale::Scale;
 use crate::sweep::{assemble_panel, point_cell, CellPoint, Checkpoint, PanelSweep};
 use crate::workloads::make_graph;
@@ -50,28 +53,6 @@ pub fn smp_cell(p: usize, n: usize, m: usize) -> CcSmpSimResult {
     let r = sim_smp::simulate_sv(&g, &params, p);
     debug_assert!(same_partition(&r.labels, &connected_components(&g)));
     r
-}
-
-/// Run every MTA cell (parallel or serial), in [`cells`] order.
-pub fn mta_grid(scale: Scale, parallel: bool) -> Vec<CcMtaSimResult> {
-    let cs = cells(scale);
-    let run = |&(p, n, m): &(usize, usize, usize)| mta_cell(p, n, m);
-    if parallel {
-        par_map(&cs, run)
-    } else {
-        serial_map(&cs, run)
-    }
-}
-
-/// Run every SMP cell (parallel or serial), in [`cells`] order.
-pub fn smp_grid(scale: Scale, parallel: bool) -> Vec<CcSmpSimResult> {
-    let cs = cells(scale);
-    let run = |&(p, n, m): &(usize, usize, usize)| smp_cell(p, n, m);
-    if parallel {
-        par_map(&cs, run)
-    } else {
-        serial_map(&cs, run)
-    }
 }
 
 /// `(series label, cell name)` per cell, in [`cells`] order.
@@ -129,34 +110,66 @@ pub fn smp_sweep(scale: Scale, verbose: bool) -> PanelSweep {
     assemble_panel(names, outs, verbose, &ck)
 }
 
-/// MTA (left panel): one series per processor count; x-axis is `m`.
-/// Panics if any cell failed; drivers use [`mta_sweep`] to keep going.
-pub fn mta_series(scale: Scale, verbose: bool) -> Vec<Series> {
-    let sw = mta_sweep(scale, verbose);
-    if let Some(f) = sw.failures.first() {
-        panic!("{f}");
-    }
-    sw.series
+/// The line printed before the first panel: the graph's sizes.
+fn print_header(scale: Scale) {
+    let (n, _) = scale.fig2_sizes();
+    println!("random graph: n = {n}, m = 4n .. 20n (paper: n = 1M, m = 4M..20M)");
 }
 
-/// SMP (right panel): one series per processor count; x-axis is `m`.
-/// Panics if any cell failed; drivers use [`smp_sweep`] to keep going.
-pub fn smp_series(scale: Scale, verbose: bool) -> Vec<Series> {
-    let sw = smp_sweep(scale, verbose);
-    if let Some(f) = sw.failures.first() {
-        panic!("{f}");
+/// Print one panel (`title` is `"MTA"` or `"SMP"`): an m × p table, then
+/// the ASCII plot of every series.
+fn print_panel(title: &str, series: &[Series], scale: Scale) {
+    println!("\n== Fig. 2 ({title}): connected components running time ==");
+    let (_, ms) = scale.fig2_sizes();
+    let procs = scale.procs();
+    let mut t =
+        Table::new(std::iter::once("m".to_string()).chain(procs.iter().map(|p| format!("p={p}"))));
+    for m in ms {
+        let mut row = vec![format!("{m}")];
+        for &p in &procs {
+            let label = format!("{title} CC p={p}");
+            let v = series
+                .iter()
+                .find(|s| s.label == label)
+                .and_then(|s| s.at(m, p));
+            row.push(v.map(fmt_seconds).unwrap_or_default());
+        }
+        t.row(row);
     }
-    sw.series
+    for line in t.render().lines() {
+        println!("  {line}");
+    }
+    let opts = PlotOptions {
+        x_label: "edges m".into(),
+        ..Default::default()
+    };
+    println!("\n{}", ascii_plot(series, &opts));
 }
+
+/// Fig. 2 for the drivers: `--bin fig2` is [`Figure::main`] on this.
+pub static FIGURE: Figure = Figure {
+    name: "fig2",
+    header: print_header,
+    mta_sweep,
+    smp_sweep,
+    print_panel,
+    shape_checks: "Paper shape checks: both machines scale with problem size and p; \
+                   the MTA is 5-6x faster than the SMP.",
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn clean(sw: PanelSweep) -> Vec<Series> {
+        assert!(sw.failures.is_empty(), "{:?}", sw.failures);
+        sw.series
+    }
+
     #[test]
     fn smoke_series_have_expected_shape() {
-        let mta = mta_series(Scale::Smoke, false);
-        let smp = smp_series(Scale::Smoke, false);
+        let mta = clean(mta_sweep(Scale::Smoke, false));
+        let smp = clean(smp_sweep(Scale::Smoke, false));
         assert_eq!(mta.len(), 2, "p = 1, 2 at smoke scale");
         assert_eq!(smp.len(), 2);
         for s in mta.iter().chain(smp.iter()) {
@@ -167,7 +180,7 @@ mod tests {
 
     #[test]
     fn times_grow_with_m() {
-        for s in smp_series(Scale::Smoke, false) {
+        for s in clean(smp_sweep(Scale::Smoke, false)) {
             let first = crate::guard::require_first(&s.points, &s.label)
                 .expect("series has points")
                 .seconds;

@@ -5,8 +5,8 @@
 //! [`par_map`] preserves the serial cell order positionally, so assembling
 //! series, CSV rows, and verbose logs from the results afterwards yields
 //! byte-identical output to the serial sweep — only host wall-clock
-//! changes. The `parallel_matches_serial_*` integration tests pin this
-//! down by comparing full simulator reports across both paths.
+//! changes. The `*_parallel_matches_serial` integration tests pin this
+//! down by comparing full simulator reports against a plain serial map.
 
 use rayon::prelude::*;
 
@@ -23,15 +23,6 @@ where
         .collect()
 }
 
-/// Apply `f` to every cell serially, in cell order — the reference path
-/// the determinism tests compare [`par_map`] against.
-pub fn serial_map<C, R, F>(cells: &[C], f: F) -> Vec<R>
-where
-    F: Fn(&C) -> R,
-{
-    cells.iter().map(f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -40,7 +31,7 @@ mod tests {
     fn par_map_preserves_order() {
         let cells: Vec<usize> = (0..257).collect();
         let par = par_map(&cells, |&c| c * 3);
-        let ser = serial_map(&cells, |&c| c * 3);
+        let ser: Vec<usize> = cells.iter().map(|&c| c * 3).collect();
         assert_eq!(par, ser);
     }
 

@@ -1,8 +1,10 @@
 //! # archgraph-bench
 //!
 //! The figure/table regeneration harness: shared workload construction,
-//! sweep configuration, and the series-producing functions that the `fig1`,
-//! `fig2`, `table1` and `ratios` binaries (and the ablation benches) call.
+//! sweep configuration, and the sweeps and printers that the `fig1`,
+//! `fig2`, `table1` and `all` binaries (and the ablation benches) call.
+//! `all` is the one driver of the whole evaluation: it runs each sweep
+//! once and prints every figure, the table and the §5 ratios.
 //!
 //! Every experiment is documented in `DESIGN.md`'s per-experiment index and
 //! records paper-vs-measured results in `EXPERIMENTS.md`.
@@ -12,6 +14,7 @@
 pub mod cells;
 pub mod fig1;
 pub mod fig2;
+pub mod figure;
 pub mod grid;
 pub mod guard;
 pub mod json;

@@ -7,9 +7,10 @@
 
 use archgraph_concomp::sim_mta as cc_sim;
 use archgraph_core::machine::MtaParams;
+use archgraph_core::report::{fmt_percent, Table};
 use archgraph_listrank::sim_mta as lr_sim;
 
-use crate::grid::{par_map, serial_map};
+use crate::grid::par_map;
 use crate::scale::Scale;
 use crate::sweep::{point_cell, CellFailure, CellPoint, Checkpoint};
 use crate::workloads::{make_graph, make_list, ListKind};
@@ -39,28 +40,25 @@ fn table_procs(scale: Scale) -> Vec<usize> {
     }
 }
 
+/// The table's cells in row-major order: `(row, p)`.
+pub fn cells(scale: Scale) -> Vec<(usize, usize)> {
+    let procs = table_procs(scale);
+    (0..ROWS.len())
+        .flat_map(|row| procs.iter().map(move |&p| (row, p)))
+        .collect()
+}
+
 /// Simulate one `(row, p)` cell and return its utilization.
-fn cell_utilization(scale: Scale, row: usize, p: usize) -> f64 {
-    let params = MtaParams::mta2();
-    match row {
-        0 | 1 => {
-            let kind = if row == 0 {
-                ListKind::Random
-            } else {
-                ListKind::Ordered
-            };
-            let n = scale.table1_list_size();
-            let list = make_list(kind, n, crate::fig1::LIST_SEED);
-            let r = lr_sim::simulate_walk_ranking(&list, &params, p, MTA_STREAMS, (n / 10).max(1));
-            r.report.utilization
-        }
+pub fn cell_utilization(scale: Scale, row: usize, p: usize) -> f64 {
+    let report = match row {
+        0 => bench_list_cell(ListKind::Random, p, scale.table1_list_size()),
+        1 => bench_list_cell(ListKind::Ordered, p, scale.table1_list_size()),
         _ => {
             let (n, m) = scale.table1_graph_size();
-            let g = make_graph(n, m, crate::fig2::GRAPH_SEED);
-            let r = cc_sim::simulate_sv_mta(&g, &params, p, MTA_STREAMS);
-            r.report.utilization
+            bench_cc_cell(p, n, m)
         }
-    }
+    };
+    report.utilization
 }
 
 /// One bench-sized list row of the table: the walk-ranking region report
@@ -83,20 +81,6 @@ pub fn bench_cc_cell(p: usize, n: usize, m: usize) -> archgraph_mta_sim::report:
     r.report
 }
 
-/// Utilization per `(row, p)` cell (parallel or serial), row-major.
-pub fn utilization_grid(scale: Scale, parallel: bool) -> Vec<f64> {
-    let procs = table_procs(scale);
-    let cs: Vec<(usize, usize)> = (0..ROWS.len())
-        .flat_map(|row| procs.iter().map(move |&p| (row, p)))
-        .collect();
-    let run = |&(row, p): &(usize, usize)| cell_utilization(scale, row, p);
-    if parallel {
-        par_map(&cs, run)
-    } else {
-        serial_map(&cs, run)
-    }
-}
-
 /// Table 1's isolated sweep: rows assembled from the cells that
 /// completed, plus any cell failures (empty on a clean run).
 #[derive(Debug)]
@@ -113,10 +97,7 @@ const ROW_SLUGS: [&str; 3] = ["random-list", "ordered-list", "cc"];
 /// Compute the table with each `(row, p)` cell panic-isolated and (at
 /// `--full` scale) checkpointed for resume.
 pub fn utilization_sweep(scale: Scale, verbose: bool) -> TableSweep {
-    let procs = table_procs(scale);
-    let cs: Vec<(usize, usize)> = (0..ROWS.len())
-        .flat_map(|row| procs.iter().map(move |&p| (row, p)))
-        .collect();
+    let cs = cells(scale);
     let ck = Checkpoint::for_sweep("table1", scale);
     let outs = par_map(&cs, |&(row, p)| {
         point_cell(&ck, &format!("table1/{}/p{p}", ROW_SLUGS[row]), || {
@@ -160,23 +141,49 @@ pub fn utilization_sweep(scale: Scale, verbose: bool) -> TableSweep {
     TableSweep { rows, failures }
 }
 
-/// Compute the table. Panics if any cell failed; drivers that want the
-/// rest of the table anyway use [`utilization_sweep`].
-pub fn utilization_table(scale: Scale, verbose: bool) -> Vec<UtilizationRow> {
-    let sw = utilization_sweep(scale, verbose);
-    if let Some(f) = sw.failures.first() {
-        panic!("{f}");
+/// Print the table and the paper's values under it. Columns are the
+/// union of completed processor counts, so a failed cell leaves a blank
+/// in its row, not a hole in the table.
+pub fn print_table(rows: &[UtilizationRow]) {
+    println!("\n== Table 1: processor utilization on the Cray MTA ==");
+    let mut procs: Vec<usize> = rows
+        .iter()
+        .flat_map(|r| r.utilization.iter().map(|&(p, _)| p))
+        .collect();
+    procs.sort_unstable();
+    procs.dedup();
+    let mut t = Table::new(
+        std::iter::once("Workload".to_string()).chain(procs.iter().map(|p| format!("p={p}"))),
+    );
+    for row in rows {
+        let mut cells = vec![row.label.clone()];
+        for &p in &procs {
+            let u = row.utilization.iter().find(|&&(pp, _)| pp == p);
+            cells.push(u.map(|&(_, u)| fmt_percent(u)).unwrap_or_default());
+        }
+        t.row(cells);
     }
-    sw.rows
+    for line in t.render().lines() {
+        println!("  {line}");
+    }
+    println!(
+        "\nPaper (Table 1): Random List 98/90/82%, Ordered List 97/85/80%, \
+         Connected Components 99/93/91% at p = 1/4/8."
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn clean(sw: TableSweep) -> Vec<UtilizationRow> {
+        assert!(sw.failures.is_empty(), "{:?}", sw.failures);
+        sw.rows
+    }
+
     #[test]
     fn smoke_table_shape_and_bounds() {
-        let rows = utilization_table(Scale::Smoke, false);
+        let rows = clean(utilization_sweep(Scale::Smoke, false));
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].label, "Random List");
         assert_eq!(rows[1].label, "Ordered List");
@@ -192,7 +199,7 @@ mod tests {
     fn utilization_does_not_increase_with_processors() {
         // Table 1's trend: utilization decreases (or holds) as p grows,
         // because fixed parallelism is spread over more issue slots.
-        let rows = utilization_table(Scale::Smoke, false);
+        let rows = clean(utilization_sweep(Scale::Smoke, false));
         for row in &rows {
             let u: Vec<f64> = row.utilization.iter().map(|&(_, u)| u).collect();
             assert!(

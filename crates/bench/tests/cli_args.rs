@@ -48,7 +48,6 @@ bad_arg_cases! {
     fig1_rejects_bad_args: "fig1" => env!("CARGO_BIN_EXE_fig1");
     fig2_rejects_bad_args: "fig2" => env!("CARGO_BIN_EXE_fig2");
     table1_rejects_bad_args: "table1" => env!("CARGO_BIN_EXE_table1");
-    ratios_rejects_bad_args: "ratios" => env!("CARGO_BIN_EXE_ratios");
     all_rejects_bad_args: "all" => env!("CARGO_BIN_EXE_all");
     calibrate_rejects_bad_args: "calibrate" => env!("CARGO_BIN_EXE_calibrate");
     speedup_rejects_bad_args: "speedup" => env!("CARGO_BIN_EXE_speedup");

@@ -1,13 +1,17 @@
 //! The rayon-parallel sweep grids must be bit-identical to the serial
 //! path: same cell order, same simulated quantities, same outputs. This
 //! determinism is the foundation the paper-claim checks (C1–C6) stand on.
+//! Each test maps one panel's cells through [`grid::par_map`], the path
+//! every sweep takes, and through a plain serial iterator.
 
-use archgraph_bench::{fig1, fig2, table1, Scale};
+use archgraph_bench::{fig1, fig2, grid, table1, Scale};
 
 #[test]
 fn fig1_mta_grid_parallel_matches_serial() {
-    let par = fig1::mta_grid(Scale::Smoke, true);
-    let ser = fig1::mta_grid(Scale::Smoke, false);
+    let cs = fig1::cells(Scale::Smoke);
+    let run = |&(kind, p, n): &_| fig1::mta_cell(kind, p, n);
+    let par = grid::par_map(&cs, run);
+    let ser: Vec<_> = cs.iter().map(run).collect();
     assert_eq!(par.len(), ser.len());
     for (a, b) in par.iter().zip(&ser) {
         assert_eq!(a.report, b.report, "RunReport must be bit-identical");
@@ -18,8 +22,10 @@ fn fig1_mta_grid_parallel_matches_serial() {
 
 #[test]
 fn fig1_smp_grid_parallel_matches_serial() {
-    let par = fig1::smp_grid(Scale::Smoke, true);
-    let ser = fig1::smp_grid(Scale::Smoke, false);
+    let cs = fig1::cells(Scale::Smoke);
+    let run = |&(kind, p, n): &_| fig1::smp_cell(kind, p, n);
+    let par = grid::par_map(&cs, run);
+    let ser: Vec<_> = cs.iter().map(run).collect();
     assert_eq!(par.len(), ser.len());
     for (a, b) in par.iter().zip(&ser) {
         assert_eq!(a.stats, b.stats, "RunStats must be bit-identical");
@@ -30,8 +36,10 @@ fn fig1_smp_grid_parallel_matches_serial() {
 
 #[test]
 fn fig2_mta_grid_parallel_matches_serial() {
-    let par = fig2::mta_grid(Scale::Smoke, true);
-    let ser = fig2::mta_grid(Scale::Smoke, false);
+    let cs = fig2::cells(Scale::Smoke);
+    let run = |&(p, n, m): &_| fig2::mta_cell(p, n, m);
+    let par = grid::par_map(&cs, run);
+    let ser: Vec<_> = cs.iter().map(run).collect();
     assert_eq!(par.len(), ser.len());
     for (a, b) in par.iter().zip(&ser) {
         assert_eq!(a.report, b.report, "RunReport must be bit-identical");
@@ -43,8 +51,10 @@ fn fig2_mta_grid_parallel_matches_serial() {
 
 #[test]
 fn fig2_smp_grid_parallel_matches_serial() {
-    let par = fig2::smp_grid(Scale::Smoke, true);
-    let ser = fig2::smp_grid(Scale::Smoke, false);
+    let cs = fig2::cells(Scale::Smoke);
+    let run = |&(p, n, m): &_| fig2::smp_cell(p, n, m);
+    let par = grid::par_map(&cs, run);
+    let ser: Vec<_> = cs.iter().map(run).collect();
     assert_eq!(par.len(), ser.len());
     for (a, b) in par.iter().zip(&ser) {
         assert_eq!(a.stats, b.stats, "RunStats must be bit-identical");
@@ -56,7 +66,9 @@ fn fig2_smp_grid_parallel_matches_serial() {
 
 #[test]
 fn table1_utilization_grid_parallel_matches_serial() {
-    let par = table1::utilization_grid(Scale::Smoke, true);
-    let ser = table1::utilization_grid(Scale::Smoke, false);
+    let cs = table1::cells(Scale::Smoke);
+    let run = |&(row, p): &_| table1::cell_utilization(Scale::Smoke, row, p);
+    let par = grid::par_map(&cs, run);
+    let ser: Vec<f64> = cs.iter().map(run).collect();
     assert_eq!(par, ser, "utilization cells must be bit-identical");
 }

@@ -10,7 +10,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use archgraph_graph::edgelist::EdgeList;
-use archgraph_graph::rng::mix64;
 use archgraph_graph::Node;
 use rayon::prelude::*;
 
@@ -36,34 +35,14 @@ impl Default for HybridConfig {
 /// grafting) from the partially contracted labeling.
 pub fn hybrid_components(g: &EdgeList, cfg: &HybridConfig) -> Vec<Node> {
     let n = g.n;
-    let d: Vec<AtomicU32> = (0..n as Node).map(AtomicU32::new).collect();
     let edges = &g.edges;
 
     // Phase 1: mating rounds.
+    let mut labels: Vec<Node> = (0..n as Node).collect();
     for round in 1..=cfg.mating_rounds {
-        let merged = AtomicBool::new(false);
-        edges.par_iter().for_each(|e| {
-            for (u, v) in [(e.u, e.v), (e.v, e.u)] {
-                let ru = d[u as usize].load(Ordering::Relaxed);
-                let rv = d[v as usize].load(Ordering::Relaxed);
-                let tail = |r: Node| mix64(cfg.seed ^ ((round as u64) << 32) ^ r as u64) & 1 == 0;
-                if ru != rv && tail(ru) && !tail(rv) {
-                    d[ru as usize].store(rv, Ordering::Relaxed);
-                    merged.store(true, Ordering::Relaxed);
-                }
-            }
-        });
-        if merged.load(Ordering::Relaxed) {
-            (0..n).into_par_iter().for_each(|i| loop {
-                let p = d[i].load(Ordering::Relaxed);
-                let gp = d[p as usize].load(Ordering::Relaxed);
-                if p == gp {
-                    break;
-                }
-                d[i].store(gp, Ordering::Relaxed);
-            });
-        }
+        crate::random_mating::mating_round(edges, &mut labels, round, cfg.seed);
     }
+    let d: Vec<AtomicU32> = labels.into_iter().map(AtomicU32::new).collect();
 
     // Phase 2: SV grafting (Alg. 3 style) from the current labeling.
     let lg = (usize::BITS - n.max(2).leading_zeros()) as usize;

@@ -8,13 +8,21 @@
 //! heads never move). A full shortcut after each round restores rooted
 //! stars. In expectation a constant fraction of components merge per
 //! round, giving `O(log n)` rounds with high probability.
+//!
+//! Rounds are synchronous: the edge pass reads the labels as they stood
+//! at the start of the round, and a TAIL root with several HEAD
+//! neighbours hooks onto the smallest, so the parallel labels equal the
+//! sequential reference [`random_mating_rounds`] for every seed.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-use archgraph_graph::edgelist::EdgeList;
+use archgraph_graph::edgelist::{Edge, EdgeList};
 use archgraph_graph::rng::mix64;
 use archgraph_graph::Node;
 use rayon::prelude::*;
+
+/// Hook-array entry for a root that did not hook this round.
+const NO_HOOK: Node = Node::MAX;
 
 /// Generous whp bound on rounds before we declare a bug.
 fn round_bound(n: usize) -> usize {
@@ -27,59 +35,55 @@ fn coin(root: Node, round: usize, seed: u64) -> bool {
     mix64(seed ^ ((round as u64) << 32) ^ root as u64) & 1 == 1
 }
 
-/// Connected components by random mating. Returns rooted-star labels.
-/// Deterministic for a fixed `seed`.
-pub fn random_mating(g: &EdgeList, seed: u64) -> Vec<Node> {
-    let n = g.n;
-    let d: Vec<AtomicU32> = (0..n as Node).map(AtomicU32::new).collect();
-    let edges = &g.edges;
-    let bound = round_bound(n);
-    let mut round = 0usize;
-
-    loop {
-        // Termination: no edge crosses two components.
-        let crossing = edges.par_iter().any(|e| {
-            d[e.u as usize].load(Ordering::Relaxed) != d[e.v as usize].load(Ordering::Relaxed)
-        });
-        if !crossing {
-            break;
-        }
-        round += 1;
-        assert!(round <= bound, "random mating exceeded its whp round bound");
-
-        let merged = AtomicBool::new(false);
-        edges.par_iter().for_each(|e| {
-            for (u, v) in [(e.u, e.v), (e.v, e.u)] {
-                let ru = d[u as usize].load(Ordering::Relaxed);
-                let rv = d[v as usize].load(Ordering::Relaxed);
-                if ru != rv && !coin(ru, round, seed) && coin(rv, round, seed) {
-                    // TAIL(ru) mates with HEAD(rv): heads never move, so
-                    // no cycles form even under concurrent writes.
-                    d[ru as usize].store(rv, Ordering::Relaxed);
-                    merged.store(true, Ordering::Relaxed);
-                }
+/// One synchronous mating round over the rooted-star labels `d`: every
+/// TAIL root with a HEAD neighbour hooks onto the smallest such
+/// neighbour, read from the labels as they stood at the start of the
+/// round; then every vertex moves to its root's hook, which restores
+/// rooted stars (a HEAD root never moves).
+pub(crate) fn mating_round(edges: &[Edge], d: &mut [Node], round: usize, seed: u64) {
+    let hook: Vec<AtomicU32> = (0..d.len()).map(|_| AtomicU32::new(NO_HOOK)).collect();
+    let labels = &*d;
+    // `Relaxed` suffices: each hook is only a value, and the pass's join
+    // orders every `fetch_min` before the loads below.
+    edges.par_iter().for_each(|e| {
+        for (u, v) in [(e.u, e.v), (e.v, e.u)] {
+            let (ru, rv) = (labels[u as usize], labels[v as usize]);
+            if ru != rv && !coin(ru, round, seed) && coin(rv, round, seed) {
+                hook[ru as usize].fetch_min(rv, Ordering::Relaxed);
             }
-        });
-
-        // Full shortcut back to rooted stars.
-        if merged.load(Ordering::Relaxed) {
-            (0..n).into_par_iter().for_each(|i| loop {
-                let p = d[i].load(Ordering::Relaxed);
-                let gp = d[p as usize].load(Ordering::Relaxed);
-                if p == gp {
-                    break;
-                }
-                d[i].store(gp, Ordering::Relaxed);
-            });
         }
-    }
-
-    d.into_iter().map(AtomicU32::into_inner).collect()
+    });
+    d.par_iter_mut().for_each(|x| {
+        let h = hook[*x as usize].load(Ordering::Relaxed);
+        if h != NO_HOOK {
+            *x = h;
+        }
+    });
 }
 
-/// Rounds-taken probe for benches: `(labels, rounds)`.
+/// Connected components by random mating. Returns rooted-star labels.
+/// Deterministic for a fixed `seed`: equal to [`random_mating_rounds`]'
+/// labels.
+pub fn random_mating(g: &EdgeList, seed: u64) -> Vec<Node> {
+    let mut d: Vec<Node> = (0..g.n as Node).collect();
+    let bound = round_bound(g.n);
+    let mut round = 0usize;
+    // Termination: no edge crosses two components.
+    while g
+        .edges
+        .par_iter()
+        .any(|e| d[e.u as usize] != d[e.v as usize])
+    {
+        round += 1;
+        assert!(round <= bound, "random mating exceeded its whp round bound");
+        mating_round(&g.edges, &mut d, round, seed);
+    }
+    d
+}
+
+/// The sequential reference for [`random_mating`], with the round count
+/// for benches: `(labels, rounds)`.
 pub fn random_mating_rounds(g: &EdgeList, seed: u64) -> (Vec<Node>, usize) {
-    // Sequential deterministic re-implementation for stable counts.
     let n = g.n;
     let mut d: Vec<Node> = (0..n as Node).collect();
     let bound = round_bound(n);
@@ -91,18 +95,19 @@ pub fn random_mating_rounds(g: &EdgeList, seed: u64) -> (Vec<Node>, usize) {
         }
         round += 1;
         assert!(round <= bound);
+        let mut hook = vec![NO_HOOK; n];
         for e in &g.edges {
             for (u, v) in [(e.u, e.v), (e.v, e.u)] {
                 let ru = d[u as usize];
                 let rv = d[v as usize];
                 if ru != rv && !coin(ru, round, seed) && coin(rv, round, seed) {
-                    d[ru as usize] = rv;
+                    hook[ru as usize] = hook[ru as usize].min(rv);
                 }
             }
         }
-        for i in 0..n {
-            while d[i] != d[d[i] as usize] {
-                d[i] = d[d[i] as usize];
+        for x in d.iter_mut() {
+            if hook[*x as usize] != NO_HOOK {
+                *x = hook[*x as usize];
             }
         }
     }
@@ -160,6 +165,20 @@ mod tests {
     fn deterministic_per_seed() {
         let g = gen::random_gnm(200, 300, 3);
         assert_eq!(random_mating(&g, 42), random_mating(&g, 42));
+    }
+
+    #[test]
+    fn parallel_labels_equal_the_sequential_reference() {
+        for seed in [3u64, 4, 5] {
+            let g = gen::random_gnm(20_000, 40_000, seed);
+            for coin_seed in [42u64, 7] {
+                assert_eq!(
+                    random_mating(&g, coin_seed),
+                    random_mating_rounds(&g, coin_seed).0,
+                    "graph seed {seed}, coin seed {coin_seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -70,6 +70,12 @@ if ARCHGRAPH_BENCH_PANIC_CELL="fig1/smp/Random/p1/n4096" \
 fi
 echo "-- injected panic isolated and reported (nonzero exit), as required"
 
+echo "== reproduction script (smoke) =="
+# The recorded end-to-end run: calibrate, the whole evaluation through
+# `all` (each sweep once) and the speedup table. Any failed cell or
+# off-contract exit fails the gate.
+scripts/reproduce_all.sh smoke > /dev/null
+
 echo "== partitioned engine: full/empty sync programs =="
 # Phase-2 contract: programs with readfe/writeef/readff run on the real
 # partitioned path — guardrails asserts EngineStats.windows > 0, i.e. no

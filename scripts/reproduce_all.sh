@@ -3,29 +3,38 @@
 #
 #   scripts/reproduce_all.sh [smoke|default|full]
 #
-# Writes tables/series to results/ and prints the summary comparison.
+# Runs the calibration checks, then `all` (Fig. 1, Fig. 2, Table 1 and the
+# §5 ratio summary, each sweep run once), then the speedup-vs-best-
+# sequential table.
+# Writes each binary's stdout to results/<scale>/<binary>.txt, so a smoke
+# run (a scripts/ci.sh leg) never overwrites a default or full record.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 SCALE="${1:-default}"
-mkdir -p results
+case "$SCALE" in
+smoke | default | full) ;;
+*)
+    echo "usage: scripts/reproduce_all.sh [smoke|default|full]" >&2
+    exit 2
+    ;;
+esac
+OUT="results/$SCALE"
+mkdir -p "$OUT"
 
 echo "== building (release) =="
-cargo build --release -p archgraph-bench
+cargo build --release --offline -p archgraph-bench
 
 run() {
     local name="$1"
     shift
     echo "== $name =="
-    "./target/release/$name" "$@" | tee "results/$name.txt"
+    "./target/release/$name" "$@" | tee "$OUT/$name.txt"
 }
 
 run calibrate "$SCALE"
-run fig1 "$SCALE" --csv
-run fig2 "$SCALE" --csv
-run table1 "$SCALE"
-run ratios "$SCALE"
+run all "$SCALE"
 run speedup "$SCALE"
 
 echo
-echo "results recorded under results/; see EXPERIMENTS.md for the"
+echo "results recorded under $OUT/; see EXPERIMENTS.md for the"
 echo "paper-vs-measured interpretation."

@@ -37,15 +37,22 @@ fn simulated_times_are_deterministic() {
 
 #[test]
 fn figure_series_are_deterministic() {
-    let a1 = fig1::smp_series(Scale::Smoke, false);
-    let b1 = fig1::smp_series(Scale::Smoke, false);
+    let series = |sw: archgraph_bench::PanelSweep| {
+        assert!(sw.failures.is_empty(), "{:?}", sw.failures);
+        sw.series
+    };
+    let a1 = series(fig1::smp_sweep(Scale::Smoke, false));
+    let b1 = series(fig1::smp_sweep(Scale::Smoke, false));
     assert_eq!(a1, b1);
-    let a2 = fig2::mta_series(Scale::Smoke, false);
-    let b2 = fig2::mta_series(Scale::Smoke, false);
+    let a2 = series(fig2::mta_sweep(Scale::Smoke, false));
+    let b2 = series(fig2::mta_sweep(Scale::Smoke, false));
     assert_eq!(a2, b2);
-    let at = table1::utilization_table(Scale::Smoke, false);
-    let bt = table1::utilization_table(Scale::Smoke, false);
-    assert_eq!(at, bt);
+    let rows = || {
+        let sw = table1::utilization_sweep(Scale::Smoke, false);
+        assert!(sw.failures.is_empty(), "{:?}", sw.failures);
+        sw.rows
+    };
+    assert_eq!(rows(), rows());
 }
 
 #[test]

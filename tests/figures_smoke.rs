@@ -1,12 +1,26 @@
 //! Smoke runs of every figure/table harness at the smallest scale:
 //! each must produce full series with positive, size-monotone times.
 
-use archgraph_bench::{fig1, fig2, table1, Scale};
+use archgraph_bench::table1::{TableSweep, UtilizationRow};
+use archgraph_bench::{fig1, fig2, table1, PanelSweep, Scale};
+use archgraph_core::experiment::Series;
+
+/// The sweep's series, after asserting every cell completed.
+fn clean(sw: PanelSweep) -> Vec<Series> {
+    assert!(sw.failures.is_empty(), "{:?}", sw.failures);
+    sw.series
+}
+
+/// The table's rows, after asserting every cell completed.
+fn clean_rows(sw: TableSweep) -> Vec<UtilizationRow> {
+    assert!(sw.failures.is_empty(), "{:?}", sw.failures);
+    sw.rows
+}
 
 #[test]
 fn fig1_regenerates_both_panels() {
-    let mta = fig1::mta_series(Scale::Smoke, false);
-    let smp = fig1::smp_series(Scale::Smoke, false);
+    let mta = clean(fig1::mta_sweep(Scale::Smoke, false));
+    let smp = clean(fig1::smp_sweep(Scale::Smoke, false));
     assert_eq!(mta.len(), 4);
     assert_eq!(smp.len(), 4);
     for s in mta.iter().chain(smp.iter()) {
@@ -25,8 +39,8 @@ fn fig1_regenerates_both_panels() {
 
 #[test]
 fn fig2_regenerates_both_panels() {
-    let mta = fig2::mta_series(Scale::Smoke, false);
-    let smp = fig2::smp_series(Scale::Smoke, false);
+    let mta = clean(fig2::mta_sweep(Scale::Smoke, false));
+    let smp = clean(fig2::smp_sweep(Scale::Smoke, false));
     assert_eq!(mta.len(), 2);
     assert_eq!(smp.len(), 2);
     for s in smp.iter() {
@@ -41,7 +55,7 @@ fn fig2_regenerates_both_panels() {
 
 #[test]
 fn table1_regenerates_all_rows() {
-    let rows = table1::utilization_table(Scale::Smoke, false);
+    let rows = clean_rows(table1::utilization_sweep(Scale::Smoke, false));
     assert_eq!(rows.len(), 3);
     for r in &rows {
         assert!(!r.utilization.is_empty());
@@ -55,8 +69,8 @@ fn table1_regenerates_all_rows() {
 fn smp_figures_dominate_mta_figures() {
     // Even at smoke scale the SMP panels should sit above the MTA panels
     // at matching points (the paper's cross-panel comparison).
-    let mta = fig1::mta_series(Scale::Smoke, false);
-    let smp = fig1::smp_series(Scale::Smoke, false);
+    let mta = clean(fig1::mta_sweep(Scale::Smoke, false));
+    let smp = clean(fig1::smp_sweep(Scale::Smoke, false));
     for kind in ["Ordered", "Random"] {
         for p in [1usize, 2] {
             let m = mta
